@@ -9,8 +9,8 @@ judged against (ROADMAP: "as fast as the hardware allows").  Probes:
   (ports, priority mux, switch, transport, ACK clocking): the number
   that actually bounds experiment wall time.  Reported best-of-N to
   damp scheduler noise, with the run's peak heap size (``sim.pending``
-  high-water mark) — the pipelined wire keeps this flat where the
-  legacy one-event-per-packet model scaled it with in-flight packets;
+  high-water mark) — the wire's single head event per link keeps this
+  flat where one event per in-flight packet would scale it;
 * ``leaf-spine`` — all-to-all over a 2x2 leaf-spine: multipath ECMP
   forwarding with two switch hops per path, the topology shape the
   validation matrix leans on;

@@ -5,7 +5,7 @@ Public API quick tour::
 
     from repro import Ppt, Dctcp, Scenario, run
     from repro.sim import star
-    from repro.workloads import WEB_SEARCH, all_to_all, poisson_flows
+    from repro.workloads import WEB_SEARCH, all_to_all, flow_stream
 
 See README.md for a full walkthrough and DESIGN.md for the system
 inventory.

@@ -114,7 +114,7 @@ class RunHealth:
     # diagnostics use Simulator.live_pending instead
     live_pending: int = 0
     # high-water mark of raw heap entries over the run (memory pressure;
-    # the pipelined wire model keeps this flat under incast)
+    # the one-head-event wire keeps this flat under incast)
     peak_pending: int = 0
 
     @property
@@ -415,28 +415,23 @@ def run(
         ctx.extra["instruments"] = instruments(topo)
 
     # One chain entry per flow start instead of one heap event each:
-    # seqs are claimed in the same order the schedule_at loop used to,
-    # so firing order is bit-identical while the heap holds a single
-    # entry for the whole start schedule.  A FlowStream goes through
-    # the lazy variant — same (time, seq) keys (the seq block is
-    # reserved up front for bounded streams), but flows are pulled one
-    # look-ahead at a time, so the start schedule never materializes.
-    if stream is not None:
-        if telemetry is None:
-            start_fn, extra = scheme.start_flow, (ctx,)
-        else:
-            start_fn = functools.partial(_observed_start, scheme)
-            extra = (ctx, telemetry)
-        topo.sim.schedule_lazy_chain(
-            _FlowStarts(stream, flows, start_fn, extra), count=total_flows)
-    elif telemetry is None:
-        topo.sim.schedule_chain(
-            (flow.start_time, scheme.start_flow, (flow, ctx))
-            for flow in flows)
+    # the seq block is reserved up front, so firing order is
+    # bit-identical to a schedule_at loop while the heap holds a single
+    # entry for the whole start schedule.  A FlowStream is pulled one
+    # look-ahead at a time, so its start schedule never materializes; a
+    # list is stable-sorted by start time first (the chain needs time
+    # order, and equal start times keep their list order).
+    if telemetry is None:
+        start_fn, extra = scheme.start_flow, (ctx,)
     else:
-        topo.sim.schedule_chain(
-            (flow.start_time, _observed_start, (scheme, flow, ctx, telemetry))
-            for flow in flows)
+        start_fn = functools.partial(_observed_start, scheme)
+        extra = (ctx, telemetry)
+    if stream is not None:
+        starts = _FlowStarts(stream, flows, start_fn, extra)
+    else:
+        starts = [(flow.start_time, start_fn, (flow,) + extra)
+                  for flow in sorted(flows, key=lambda f: f.start_time)]
+    topo.sim.schedule_lazy_chain(starts, count=total_flows)
 
     state = RunState(
         scheme_name=scheme.name,

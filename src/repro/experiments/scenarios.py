@@ -11,7 +11,7 @@ overrides, so the full-size configuration is one call away (see
 
 The arrival *load* is always preserved — capping sizes feeds the capped
 mean back into the Poisson arrival rate (see
-:func:`repro.workloads.generator.poisson_flows`).
+:class:`repro.workloads.PoissonFlowStream`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from ..sim.topology import Topology, dumbbell, leaf_spine, star
 from ..transport.base import Flow, TransportConfig
 from ..units import gbps, kb, mb, us
 from ..workloads.distributions import EmpiricalCdf, WEB_SEARCH
-from ..workloads.generator import poisson_flows
 from ..workloads.patterns import PairSampler, all_to_all, incast
 from ..workloads.streams import FlowStream, LoadShape, TenantClass, flow_stream
 
@@ -252,19 +251,11 @@ def _flow_source(
 
     ``stream=True`` returns a constant-memory
     :class:`~repro.workloads.FlowStream` the runner pulls lazily —
-    bit-identical to the materialized list for the same seed.  The
-    richer generator features (tenant mixes, load shapes, closed-loop
-    arrivals) are available in both modes: without ``stream`` the
-    stream is simply drained into a list up front.  The plain
-    open-loop, unshaped, single-class case keeps going through
-    :func:`poisson_flows`, the reference implementation the stream is
-    gated against.
+    bit-identical to the materialized list for the same seed.  Every
+    generator feature (tenant mixes, load shapes, closed-loop arrivals)
+    is available in both modes: without ``stream`` the stream is simply
+    drained into a list up front.
     """
-    plain = (tenants is None and load_shape is None and arrivals == "open")
-    if not stream and plain:
-        return poisson_flows(pattern, cdf, load=load, link_rate=link_rate,
-                             n_flows=n_flows, n_senders=n_senders, seed=seed,
-                             size_cap=size_cap)
     source = flow_stream(pattern, cdf, load=load, link_rate=link_rate,
                          n_flows=n_flows, n_senders=n_senders, seed=seed,
                          size_cap=size_cap, shape=load_shape,

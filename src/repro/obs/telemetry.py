@@ -150,8 +150,8 @@ class TelemetrySummary:
     sim_events: int = 0
     wall_seconds: float = 0.0
     # high-water mark of engine heap entries (``sim.peak_pending``) —
-    # the memory-pressure signal the pipelined wire model is meant to
-    # shrink; combine() takes the max, not the sum
+    # the memory-pressure signal the one-head-event wire is meant to
+    # keep flat; combine() takes the max, not the sum
     peak_pending: int = 0
 
     @property

@@ -1,17 +1,16 @@
 """Versioned simulator checkpoints: snapshot a run mid-drain, resume later.
 
 A checkpoint is a pickle of the *entire* run graph — the
-:class:`~repro.sim.engine.Simulator` (heap, pipelined
-:class:`~repro.sim.link.Wire` in-flight deques,
-:class:`~repro.sim.engine.EventChain` timers), every transport
+:class:`~repro.sim.engine.Simulator` (heap,
+:class:`~repro.sim.link.Wire` in-flight deques, the
+:class:`~repro.sim.engine.LazyEventChain` of flow starts), every transport
 endpoint's window/RTO state, the queue ledgers, the fault injectors'
 RNG streams, the telemetry trace and the invariant auditor — wrapped in
 a :class:`RunState` that also carries the drain loop's own position
 (current slice time, watchdog progress signature).  Because the whole
 graph is one pickle, shared references survive intact, which is what
 makes a resumed run **bit-identical** to a straight-through one (gated
-by ``tests/test_resilience.py`` the same way
-``Wire.PIPELINED_DEFAULT`` equivalence is gated).
+by ``tests/test_resilience.py``).
 
 Three deliberate exclusions keep snapshots both lean and loadable:
 
@@ -60,7 +59,11 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # v3: RunState grew ``hybrid`` (the flow-level fast path's controller —
 # abstract-flow set, rate assignments and the armed epoch event — so a
 # mid-epoch resume is bit-identical)
-CHECKPOINT_VERSION = 3
+# v4: Wire lost its per-packet mode flag (in-flight entries are now
+# ``(arrival, seq, pkt)``), and a list's flow starts ride in the same
+# LazyEventChain a stream's do — the materialized chain class is gone,
+# so v3 graphs that reference it no longer unpickle
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):

@@ -22,15 +22,15 @@ Three hot-path mechanisms keep per-packet overhead down (see
   may use it.
 * **reserved sequence numbers** — :meth:`Simulator.reserve_seq` hands out
   a tie-break seq *now* for an event inserted *later* via
-  :meth:`Simulator.schedule_reserved`.  The pipelined wire uses this to
-  keep exactly one heap entry per link while firing arrivals with the
-  exact ``(time, seq)`` keys the legacy one-event-per-packet model would
-  have used — which is what makes the wire model bit-identical.
-* an **event chain** (:class:`EventChain`) — a batch of pre-declared
-  future events (the runner's flow-start schedule) reserves all its seqs
-  up front but keeps only its earliest entry resident in the heap; each
-  firing arms the next.  Same determinism argument as the wire, applied
-  to the control plane.
+  :meth:`Simulator.schedule_reserved`.  The wire uses this to keep
+  exactly one heap entry per link while firing arrivals with the exact
+  ``(time, seq)`` keys one event per packet would have had.
+* an **event chain** (:class:`LazyEventChain`) — a time-ordered source
+  of future events (the runner's flow-start schedule) keeps only its
+  earliest entry resident in the heap; each firing arms the next.  With
+  a declared count it reserves its whole seq block up front, so entries
+  fire with the keys individual ``schedule_at`` calls would have had.
+  Same determinism argument as the wire, applied to the control plane.
 """
 
 from __future__ import annotations
@@ -222,10 +222,10 @@ class Simulator:
     def reserve_seq(self) -> int:
         """Claim the next insertion-order seq without scheduling yet.
 
-        Pair with :meth:`schedule_reserved`.  The pipelined wire reserves
-        a seq the moment a packet finishes serializing (exactly when the
-        legacy model would have scheduled its arrival), then inserts the
-        head event later — so same-instant tie-breaking is unchanged.
+        Pair with :meth:`schedule_reserved`.  The wire reserves a seq the
+        moment a packet finishes serializing (exactly when a per-packet
+        arrival event would have been scheduled), then inserts the head
+        event later — so same-instant tie-breaking is unchanged.
         """
         self._seq += 1
         return self._seq
@@ -233,12 +233,12 @@ class Simulator:
     def reserve_seq_block(self, n: int) -> int:
         """Claim ``n`` consecutive seqs at once; returns the first.
 
-        The streaming flow scheduler (:class:`LazyEventChain` with a
+        The flow-start scheduler (:class:`LazyEventChain` with a
         declared ``count``) reserves its whole seq block up front —
-        exactly the counter values a materialized :class:`EventChain`
-        over the same entries would have claimed — then consumes them
-        one by one as the stream is pulled.  That is what makes a
-        streamed run bit-identical to a materialized one: same-instant
+        exactly the counter values a loop of ``schedule_at`` calls over
+        the same entries would have claimed — then consumes them one by
+        one as the source is pulled.  That is what makes a streamed run
+        bit-identical to one over the materialized list: same-instant
         tie-breaking cannot tell the two apart.
         """
         if n < 0:
@@ -274,27 +274,18 @@ class Simulator:
             self.peak_pending = len(heap)
         return event
 
-    def schedule_chain(self, entries: Iterable[Tuple]) -> "EventChain":
-        """Declare a batch of future events held as ONE heap entry.
-
-        ``entries`` yields ``(absolute_time, fn, args)`` tuples; each
-        claims a seq in iteration order — exactly what a loop of
-        ``schedule_at`` calls would have consumed — so scheduling a
-        chain is bit-identical to scheduling the events individually.
-        """
-        return EventChain(self, entries)
-
     def schedule_lazy_chain(self, entries: Iterable[Tuple],
                             count: Optional[int] = None) -> "LazyEventChain":
-        """Like :meth:`schedule_chain`, but ``entries`` is pulled lazily.
+        """Declare future events held as ONE heap entry, pulled lazily.
 
-        Entries must arrive in non-decreasing time order (the
-        materialized chain sorts; a lazy one cannot).  ``count``, when
-        given, must be the exact number of entries the source will
-        yield: the chain pre-reserves that many seqs so firing order is
-        bit-identical to the materialized chain over the same entries.
-        ``count=None`` claims seqs lazily — for unbounded sources,
-        where no materialized counterpart exists to be identical to.
+        ``entries`` yields ``(absolute_time, fn, args)`` tuples in
+        non-decreasing time order (sort a list first; a lazy source
+        cannot be sorted).  ``count``, when given, must be the exact
+        number of entries the source will yield: the chain pre-reserves
+        that many seqs, so firing order is bit-identical to a loop of
+        ``schedule_at`` calls over the same entries.  ``count=None``
+        claims seqs lazily — for unbounded sources, where no finite
+        loop exists to be identical to.
         """
         return LazyEventChain(self, entries, count)
 
@@ -562,89 +553,27 @@ class Simulator:
         return self._events_run
 
 
-class EventChain:
-    """A batch of pre-declared events held as one resident heap entry.
-
-    The reserve-then-arm trick of the pipelined wire, generalised: every
-    entry claims its tie-break seq at declaration time (in iteration
-    order, exactly as individual ``schedule_at`` calls would), the
-    entries are sorted by ``(time, seq)`` — the heap's own order — and
-    only the earliest is scheduled; each firing arms its successor.  A
-    run that pre-declares N flow starts therefore keeps 1 heap entry
-    for them instead of N, with bit-identical firing order.
-
-    Entries cannot be cancelled individually (nothing in the repo needs
-    to); drop the chain wholesale with :meth:`cancel`.
-    """
-
-    __slots__ = ("sim", "_entries", "_next", "head_event")
-
-    def __init__(self, sim: Simulator, entries: Iterable[Tuple]) -> None:
-        self.sim = sim
-        tolerance = sim.NEGATIVE_DELAY_TOLERANCE
-        resolved = []
-        for time, fn, args in entries:
-            delay = time - sim.now
-            if delay < 0:
-                if delay < tolerance:
-                    raise ValueError(
-                        f"cannot schedule into the past (delay={delay})")
-                delay = 0.0
-            sim._seq += 1
-            resolved.append((sim.now + delay, sim._seq, fn, args))
-        resolved.sort(key=lambda entry: (entry[0], entry[1]))
-        self._entries = resolved
-        self._next = 0
-        self.head_event: Optional[Event] = None
-        if resolved:
-            time, seq, _fn, _args = resolved[0]
-            self.head_event = sim.schedule_reserved(time, seq, self._fire)
-
-    def _fire(self) -> None:
-        # arm the successor BEFORE the callback so a non-empty chain
-        # always has its head in the heap, exactly like the wire
-        entries = self._entries
-        index = self._next
-        _time, _seq, fn, args = entries[index]
-        index += 1
-        self._next = index
-        if index < len(entries):
-            time, seq, _fn, _args = entries[index]
-            self.head_event = self.sim.schedule_reserved(time, seq, self._fire)
-        else:
-            self.head_event = None
-            self._entries = []  # drop callback/arg refs once exhausted
-            self._next = 0      # keep __len__ at 0 for the empty list
-        fn(*args)
-
-    def cancel(self) -> None:
-        """Stop the chain: no remaining entry will fire."""
-        if self.head_event is not None:
-            self.head_event.cancel()
-            self.head_event = None
-        self._entries = []
-        self._next = 0
-
-    def __len__(self) -> int:
-        """Entries still to fire."""
-        return len(self._entries) - self._next
-
-
 class LazyEventChain:
-    """An :class:`EventChain` whose entries are pulled on demand.
+    """A time-ordered batch of future events held as one heap entry.
 
-    The chain holds ONE look-ahead entry (armed in the heap) plus the
-    un-consumed source iterator — constant memory no matter how many
-    entries the source will ever yield.  This is what lets the runner
-    drive a multi-million-flow :class:`~repro.workloads.FlowStream`
-    without materializing the start schedule.
+    The reserve-then-arm trick of the wire, generalised: the chain holds
+    ONE look-ahead entry (armed in the heap) plus the un-consumed source
+    iterator, and each firing arms its successor.  A run that declares
+    N flow starts therefore keeps 1 heap entry for them instead of N —
+    and constant memory no matter how many entries the source will ever
+    yield, which is what lets the runner drive a multi-million-flow
+    :class:`~repro.workloads.FlowStream` without materializing the start
+    schedule.
 
     Determinism: with a declared ``count`` the chain reserves its whole
     seq block at construction (see :meth:`Simulator.reserve_seq_block`),
-    so every entry fires with the exact ``(time, seq)`` key the
-    materialized chain would have used.  Without a count, seqs are
+    so every entry fires with the exact ``(time, seq)`` key individual
+    ``schedule_at`` calls would have used.  Without a count, seqs are
     claimed at arm time — still deterministic run to run, but only
-    comparable to another lazy run.
+    comparable to another run without a count.
+
+    Entries cannot be cancelled individually (nothing in the repo needs
+    to); drop the chain wholesale with :meth:`cancel`.
 
     The source must be picklable if the run is to be checkpointed: the
     chain sits in the simulator's object graph (via its armed head
@@ -710,7 +639,7 @@ class LazyEventChain:
         self.head_event = sim.schedule_reserved(time, seq, self._fire)
 
     def _fire(self) -> None:
-        # arm the successor BEFORE the callback, exactly like EventChain:
+        # arm the successor BEFORE the callback, exactly like the wire:
         # a non-exhausted chain always has its head in the heap
         fn, args = self._current
         self._arm()

@@ -7,14 +7,14 @@ otherwise the packet waits in the mux.  Completion of a transmission hands
 the packet to the port's :class:`Wire`, which delivers it to the peer after
 the propagation delay, and pulls the next packet from the mux.
 
-The wire is a *pipelined* FIFO modelled after htsim's pipe: a deque of
-in-flight ``(arrival_time, seq, pkt)`` entries with exactly **one**
-scheduled head-arrival event per link, instead of one heap event per
-in-flight packet.  FIFO delivery is exact — the port serializes in order
-and ``prop_delay`` is constant, so arrival times are strictly increasing —
-and bit-identity with the legacy one-event-per-packet model is guaranteed
-by reserving each arrival's tie-break seq at serialization-completion time
-(see :meth:`~repro.sim.engine.Simulator.reserve_seq`).
+The wire is a FIFO modelled after htsim's pipe: a deque of in-flight
+``(arrival_time, seq, pkt)`` entries with exactly **one** scheduled
+head-arrival event per link, instead of one heap event per in-flight
+packet.  FIFO delivery is exact — the port serializes in order and
+``prop_delay`` is constant, so arrival times are strictly increasing —
+and each arrival's tie-break seq is reserved at serialization-completion
+time (see :meth:`~repro.sim.engine.Simulator.reserve_seq`), so arrivals
+fire in the order one event per packet would give them.
 """
 
 from __future__ import annotations
@@ -62,34 +62,24 @@ class Wire:
     """The propagation pipe between a port and its peer.
 
     ``pending`` holds every in-flight packet as ``(arrival_time, seq,
-    pkt, event)`` in FIFO order.  In pipelined mode (the default) only
-    the head has a scheduled event (``event`` is None in the tuples;
-    the single head event lives in ``head_event``) and delivering the
-    head arms the next entry with its *reserved* seq.  Legacy mode
-    schedules one event per packet — the historical model, kept so the
-    equivalence suite can pin bit-identity between the two.
+    pkt)`` in FIFO order.  Only the head has a scheduled event (it lives
+    in ``head_event``); delivering the head arms the next entry with its
+    *reserved* seq.
 
-    Either way the deque is the authoritative record of what is on the
-    wire: the invariant auditor reads it for the fabric in-propagation
-    residual, and :meth:`flush` (link failure mid-flight) drops exactly
-    its contents.
+    The deque is the authoritative record of what is on the wire: the
+    invariant auditor reads it for the fabric in-propagation residual,
+    and :meth:`flush` (link failure mid-flight) drops exactly its
+    contents.
     """
 
-    # Flip to False to build new wires in legacy one-event-per-packet
-    # mode (tests/test_wire_equivalence.py monkeypatches this).
-    PIPELINED_DEFAULT = True
-
-    __slots__ = ("sim", "port", "pending", "head_event", "pipelined",
+    __slots__ = ("sim", "port", "pending", "head_event",
                  "_deliver_cb", "_recv_cb")
 
-    def __init__(self, sim: Simulator, port: "Port",
-                 pipelined: Optional[bool] = None) -> None:
+    def __init__(self, sim: Simulator, port: "Port") -> None:
         self.sim = sim
         self.port = port
         self.pending: deque = deque()
         self.head_event = None
-        self.pipelined = (self.PIPELINED_DEFAULT if pipelined is None
-                          else pipelined)
         # bound once: the head-arrival callback is installed once per
         # packet, and binding it per install shows up in profiles
         self._deliver_cb = self._deliver
@@ -106,7 +96,6 @@ class Wire:
             "port": self.port,
             "pending": self.pending,
             "head_event": self.head_event,
-            "pipelined": self.pipelined,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -114,7 +103,6 @@ class Wire:
         self.port = state["port"]
         self.pending = state["pending"]
         self.head_event = state["head_event"]
-        self.pipelined = state["pipelined"]
         self._deliver_cb = self._deliver
         self._recv_cb = None  # rebound lazily on first delivery
 
@@ -122,35 +110,30 @@ class Wire:
         """Put a freshly serialized packet onto the wire.
 
         Called at serialization-completion time; the seq reserved here is
-        exactly the one the legacy model's ``schedule`` would have
-        consumed, so heap tie-breaking is unchanged.
+        exactly the one a per-packet ``schedule`` would have consumed, so
+        heap tie-breaking is as if every arrival had its own event.
         """
         sim = self.sim
         arrival = sim.now + self.port.prop_delay
         sim._seq += 1  # reserve_seq(), sans the call frame — hot path
         seq = sim._seq
-        if self.pipelined:
-            self.pending.append((arrival, seq, pkt, None))
-            if self.head_event is None:
-                self.head_event = sim.schedule_reserved(
-                    arrival, seq, self._deliver)
-        else:
-            event = sim.schedule_reserved(arrival, seq, self._deliver_legacy)
-            self.pending.append((arrival, seq, pkt, event))
+        self.pending.append((arrival, seq, pkt))
+        if self.head_event is None:
+            self.head_event = sim.schedule_reserved(
+                arrival, seq, self._deliver)
 
     def _deliver(self) -> None:
         """Head arrival: hand the packet to the peer, re-arm for the next.
 
         The next entry is armed *before* the peer callback runs so that
         whenever any other event executes, a non-empty wire always has
-        its head in the heap — the same visibility the legacy model
-        provides to heap-inspecting diagnostics.
+        its head in the heap, where heap-inspecting diagnostics see it.
         """
         pending = self.pending
-        _arrival, _seq, pkt, _event = pending.popleft()
+        _arrival, _seq, pkt = pending.popleft()
         if pending:
-            # schedule_reserved, inlined (hot: once per pipelined packet)
-            arrival, seq, _pkt, _ = pending[0]
+            # schedule_reserved, inlined (hot: once per delivered packet)
+            arrival, seq, _pkt = pending[0]
             sim = self.sim
             free = sim._free
             if free:
@@ -175,12 +158,6 @@ class Wire:
             recv = self._recv_cb = self.port.peer.receive
         recv(pkt)
 
-    def _deliver_legacy(self) -> None:
-        # events fire in arrival order and arrivals are FIFO, so the
-        # head of the deque is always the packet this event carries
-        _arrival, _seq, pkt, _event = self.pending.popleft()
-        self.port.peer.receive(pkt)
-
     def flush(self) -> List[Packet]:
         """Drop every in-flight packet (yanked cable); returns them.
 
@@ -190,11 +167,7 @@ class Wire:
         if self.head_event is not None:
             self.head_event.cancel()
             self.head_event = None
-        flushed: List[Packet] = []
-        for _arrival, _seq, pkt, event in self.pending:
-            if event is not None:
-                event.cancel()
-            flushed.append(pkt)
+        flushed = [pkt for _arrival, _seq, pkt in self.pending]
         self.pending.clear()
         return flushed
 
@@ -206,8 +179,7 @@ class Wire:
         return sum(entry[2].size for entry in self.pending)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "pipelined" if self.pipelined else "legacy"
-        return f"<Wire {self.port.name} {mode} in_flight={len(self.pending)}>"
+        return f"<Wire {self.port.name} in_flight={len(self.pending)}>"
 
 
 class Port:
@@ -483,29 +455,25 @@ class Port:
             arrival = sim.now + self.prop_delay
             sim._seq += 1
             seq = sim._seq
-            if wire.pipelined:
-                wire.pending.append((arrival, seq, pkt, None))
-                if wire.head_event is None:
-                    # schedule_reserved, inlined (see _start_next)
-                    free = sim._free
-                    if free:
-                        event = free.pop()
-                        event.time = arrival
-                        event.fn = wire._deliver_cb
-                        event.args = ()
-                        event.cancelled = False
-                    else:
-                        event = Event(arrival, wire._deliver_cb, (), sim)
-                    event.recycle = True
-                    sim._live += 1
-                    heap = sim._heap
-                    heappush(heap, (arrival, seq, event))
-                    if len(heap) > sim.peak_pending:
-                        sim.peak_pending = len(heap)
-                    wire.head_event = event
-            else:
-                wire.pending.append((arrival, seq, pkt, sim.schedule_reserved(
-                    arrival, seq, wire._deliver_legacy)))
+            wire.pending.append((arrival, seq, pkt))
+            if wire.head_event is None:
+                # schedule_reserved, inlined (see _start_next)
+                free = sim._free
+                if free:
+                    event = free.pop()
+                    event.time = arrival
+                    event.fn = wire._deliver_cb
+                    event.args = ()
+                    event.cancelled = False
+                else:
+                    event = Event(arrival, wire._deliver_cb, (), sim)
+                event.recycle = True
+                sim._live += 1
+                heap = sim._heap
+                heappush(heap, (arrival, seq, event))
+                if len(heap) > sim.peak_pending:
+                    sim.peak_pending = len(heap)
+                wire.head_event = event
         # _start_next's idle fast path, hoisted: after a transmission the
         # mux is empty more often than not, and the frame is measurable
         if self.mux.nonempty_mask:

@@ -524,7 +524,7 @@ class Network:
         """Packets currently propagating on any wire in the fabric.
 
         Reads the wire deques directly (the authoritative in-flight
-        record under the pipelined wire model); the invariant auditor
+        record); the invariant auditor
         holds this equal to the transmitted-minus-arrived residual.
         """
         return sum(len(port.wire) for port in self.ports)

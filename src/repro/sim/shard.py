@@ -4,7 +4,7 @@ A leaf-spine fabric is cut along its pod structure: leaves (with their
 hosts) and spines are dealt round-robin to ``n_shards`` shards, and each
 shard runs a full copy of the topology in its own process but only
 *simulates* the devices it owns.  The physics that makes this sound is
-the same one the pipelined :class:`~repro.sim.link.Wire` models: a
+the same one the FIFO :class:`~repro.sim.link.Wire` models: a
 packet finishing serialization on a cross-shard link cannot affect the
 other side until one propagation delay later.  That delay — minimized
 over every boundary link — is the run's **lookahead** ``L``, and the
@@ -484,16 +484,19 @@ class ShardWorker:
 
         # Start only flows with a local endpoint: the sender's shard
         # simulates the data path, the receiver's shard the completion;
-        # pure-transit shards just forward imports.
+        # pure-transit shards just forward imports.  The starts go
+        # through one lazy chain over the start-time-sorted list, exactly
+        # as runner.run schedules a serial run's.
         if telemetry is None:
-            sim.schedule_chain((f.start_time, scheme.start_flow, (f, ctx))
-                               for f in local_flows)
+            start_fn, extra = scheme.start_flow, (ctx,)
         else:
-            def _observed(flow, _scheme=scheme, _ctx=ctx, _tel=telemetry):
+            def start_fn(flow, _scheme=scheme, _ctx=ctx, _tel=telemetry):
                 _tel.on_flow_start(flow)
                 _scheme.start_flow(flow, _ctx)
-            sim.schedule_chain((f.start_time, _observed, (f,))
-                               for f in local_flows)
+            extra = ()
+        starts = [(f.start_time, start_fn, (f,) + extra)
+                  for f in sorted(local_flows, key=lambda f: f.start_time)]
+        sim.schedule_lazy_chain(starts, count=len(starts))
 
     # -- window loops -----------------------------------------------------
 

@@ -529,11 +529,11 @@ class RunAuditor:
 
     def _audit_fabric_conservation(self) -> None:
         """End-to-end conservation over the whole fabric (packet and
-        byte ledgers).  Every law is an exact equality: since the
-        pipelined wire model, each port's in-flight packets live in its
-        wire deque, so the in-propagation residual must equal the deque
-        contents packet-for-packet and byte-for-byte (the historical
-        check could only bound it by the heap size)."""
+        byte ledgers).  Every law is an exact equality: each port's
+        in-flight packets live in its wire deque, so the in-propagation
+        residual must equal the deque contents packet-for-packet and
+        byte-for-byte (the historical check could only bound it by the
+        heap size)."""
         net = self.network
         ports = net.ports
         hosts = net.hosts.values()

@@ -1,6 +1,6 @@
-"""Workloads: flow-size distributions, traffic patterns, Poisson arrivals
-(materialized via :func:`poisson_flows` or constant-memory via
-:mod:`~repro.workloads.streams` — see ``docs/workloads.md``)."""
+"""Workloads: flow-size distributions, traffic patterns, and Poisson
+arrivals as constant-memory flow streams (:mod:`~repro.workloads.streams`
+— see ``docs/workloads.md``)."""
 
 from .distributions import (
     DATA_MINING,
@@ -12,7 +12,6 @@ from .distributions import (
     EmpiricalCdf,
     sample_sizes,
 )
-from .generator import poisson_flows
 from .streams import (
     ClosedLoopStream,
     ConstantShape,
@@ -40,7 +39,7 @@ from .patterns import all_to_all, fixed_pairs, incast, permutation
 __all__ = [
     "EmpiricalCdf", "WEB_SEARCH", "DATA_MINING", "MEMCACHED_W1",
     "MEMCACHED_ETC", "YOUTUBE_HTTP", "WORKLOADS", "sample_sizes",
-    "poisson_flows", "all_to_all", "incast", "fixed_pairs", "permutation",
+    "all_to_all", "incast", "fixed_pairs", "permutation",
     "load_trace", "save_trace", "trace_scenario_flows", "TraceFormatError",
     "FlowStream", "MaterializedStream", "PoissonFlowStream",
     "ClosedLoopStream", "MergedStream", "TenantClass", "tenant_mix_stream",

@@ -68,7 +68,7 @@ class EmpiricalCdf:
         ``f = (cap - s0) / (s1 - s0)`` below the cap plus ``cap`` itself
         over the remaining ``1 - f`` — clamping both trapezoid endpoints
         to the cap (the old code) under-counted the capped portion and
-        made ``poisson_flows(size_cap=...)`` offer the wrong load.
+        made a capped Poisson stream offer the wrong load.
         """
         total = 0.0
         for i in range(1, len(self._sizes)):

@@ -1,12 +1,11 @@
 """Constant-memory streaming flow sources.
 
-:func:`~repro.workloads.generator.poisson_flows` materializes its whole
-flow list, so memory scales with run length and multi-million-flow
-"production traffic" runs are out of reach.  A :class:`FlowStream` is
-the streaming replacement: a **picklable iterator** yielding
-:class:`~repro.transport.base.Flow` objects in non-decreasing
-start-time order, holding O(1) state regardless of how many flows it
-will ever produce.  The runner pulls flows lazily (one look-ahead flow
+A materialized flow list makes memory scale with run length, which puts
+multi-million-flow "production traffic" runs out of reach.  A
+:class:`FlowStream` is the constant-memory flow source: a **picklable
+iterator** yielding :class:`~repro.transport.base.Flow` objects in
+non-decreasing start-time order, holding O(1) state regardless of how
+many flows it will ever produce.  The runner pulls flows lazily (one look-ahead flow
 at a time — see ``Simulator.schedule_lazy_chain``), so a streamed run's
 resident memory stays flat.
 
@@ -19,10 +18,9 @@ The protocol's three contracts:
   half-consumed stream and lets ``run(resume=)`` stay bit-identical
   (and lets sweep workers construct streams from a spec after the
   fork instead of shipping a flow list);
-* **bit-identical to the list generator** — for any finite ``n_flows``,
-  :class:`PoissonFlowStream` performs exactly the RNG draws
-  :func:`poisson_flows` performs, in the same order, so
-  ``list(stream) == poisson_flows(...)`` float for float.
+* **pinned** — for any finite ``n_flows``, ``list(PoissonFlowStream(...))``
+  reproduces the list generator it replaced float for float (pinned in
+  ``tests/fingerprints.json``).
 
 On top of the single-class Poisson stream this module layers the
 methodology of "Traffic Generation for Benchmarking Data Centre
@@ -222,12 +220,20 @@ class MaterializedStream(FlowStream):
 
 
 class PoissonFlowStream(FlowStream):
-    """Streaming twin of :func:`~repro.workloads.generator.poisson_flows`.
+    """Poisson open-loop flow arrivals at a target network load.
 
-    Same parameters, same seeded RNG, same draw order — for a finite
-    ``n_flows`` and no shape, ``list(PoissonFlowStream(...))`` equals
-    ``poisson_flows(...)`` bit for bit (gated by
-    ``tests/test_streams.py``).  ``n_flows=None`` streams forever.
+    The paper generates flows "following the Poisson process and
+    controls the inter-arrival time of flows to achieve the desired
+    network load" (§6.1).  Load is defined against the aggregate edge
+    capacity of the ``n_senders`` sending links (1 for incast, where the
+    receiver's downlink is the bottleneck): at load ``rho``, edge rate
+    ``C = link_rate`` and mean flow size ``E[s]`` bytes, flows arrive at
+    ``lambda = rho * n_senders * C / (8 * E[s])`` per second.  With
+    ``size_cap`` the rate uses the exact capped mean ``E[min(S, cap)]``
+    (see :meth:`EmpiricalCdf.mean`), so the offered load stays correct.
+
+    For a finite ``n_flows`` the output is pinned bit for bit in
+    ``tests/fingerprints.json``; ``n_flows=None`` streams forever.
     ``shape`` modulates the instantaneous arrival rate (a factor of
     exactly ``1.0`` leaves the expovariate argument untouched, so a
     :class:`ConstantShape` preserves bit-identity too).
@@ -261,7 +267,7 @@ class PoissonFlowStream(FlowStream):
         self._rng = random.Random(seed)
         mean_size = cdf.mean(size_cap)
         rate = load * n_senders * link_rate / (8.0 * mean_size)  # flows/sec
-        # keep poisson_flows' exact double-reciprocal arithmetic
+        # the pinned double-reciprocal arithmetic: do not simplify
         self._mean_gap = 1.0 / rate
         self._now = start_time
         self._emitted = 0
@@ -560,8 +566,8 @@ def flow_stream(
 ) -> FlowStream:
     """Build the right stream for a scenario's knobs.
 
-    Plain open-loop single-class → :class:`PoissonFlowStream` (the
-    bit-identical twin of ``poisson_flows``); ``tenants`` →
+    Plain open-loop single-class → :class:`PoissonFlowStream`;
+    ``tenants`` →
     :func:`tenant_mix_stream`; ``arrivals="closed"`` →
     :class:`ClosedLoopStream` (single class only — per-tenant closed
     loops would need per-class user pools, which nothing needs yet).

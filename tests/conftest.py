@@ -6,6 +6,10 @@ tests run in milliseconds while still exercising the full packet path.
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.sim.network import QueueConfig
@@ -61,3 +65,31 @@ def star4() -> Topology:
 @pytest.fixture
 def ls_topo() -> Topology:
     return make_leaf_spine()
+
+
+# -- pinned fingerprints ----------------------------------------------------
+
+FINGERPRINTS_PATH = Path(__file__).with_name("fingerprints.json")
+
+
+def pinned_fingerprints() -> dict:
+    """The checked-in outputs that event order and flow generation must
+    keep reproducing (see the file's ``_about`` entry)."""
+    return json.loads(FINGERPRINTS_PATH.read_text())
+
+
+def fct_fingerprint(result) -> list:
+    # repr() keeps every bit of the float: equality here is
+    # bit-identity, not approximate agreement
+    return [[f.flow_id, f.completed, repr(f.fct)] for f in result.flows]
+
+
+def trace_digest(telemetry) -> str:
+    events = [e.to_dict() for e in telemetry.iter_events()]
+    blob = json.dumps(events, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def flows_digest(flows) -> str:
+    tuples = [(f.flow_id, f.src, f.dst, f.size, f.start_time) for f in flows]
+    return hashlib.sha256(repr(tuples).encode()).hexdigest()

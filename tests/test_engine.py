@@ -336,30 +336,30 @@ def test_reserved_seq_keeps_tie_break_position():
 def test_event_chain_is_one_heap_entry_and_fires_in_order():
     sim = Simulator()
     fired = []
-    chain = sim.schedule_chain([
-        (3e-3, fired.append, ("c",)),
+    chain = sim.schedule_lazy_chain([
         (1e-3, fired.append, ("a",)),
         (2e-3, fired.append, ("b",)),
-    ])
+        (3e-3, fired.append, ("c",)),
+    ], count=3)
     assert sim.pending == 1                       # N entries, 1 in heap
-    assert len(chain) == 3
     sim.run(until=1.5e-3)
     assert fired == ["a"]
     assert sim.pending == 1                       # successor armed
+    assert not chain.exhausted
     sim.run()
     assert fired == ["a", "b", "c"]
-    assert len(chain) == 0
+    assert chain.exhausted
 
 
 def test_event_chain_matches_individual_schedules():
     """Chained and individually scheduled events interleave identically
-    with a same-instant competitor (seqs claimed in declaration order)."""
+    with a same-instant competitor (seqs reserved at declaration)."""
 
     def fire_order(use_chain):
         sim = Simulator()
         fired = []
         if use_chain:
-            sim.schedule_chain([(1e-3, fired.append, ("x",))])
+            sim.schedule_lazy_chain([(1e-3, fired.append, ("x",))], count=1)
         else:
             sim.schedule_at(1e-3, fired.append, "x")
         sim.schedule_at(1e-3, fired.append, "y")
@@ -372,12 +372,24 @@ def test_event_chain_matches_individual_schedules():
 def test_event_chain_cancel_stops_remaining():
     sim = Simulator()
     fired = []
-    chain = sim.schedule_chain([
+    chain = sim.schedule_lazy_chain([
         (1e-3, fired.append, ("a",)),
         (2e-3, fired.append, ("b",)),
-    ])
+    ], count=2)
     sim.run(until=1.5e-3)
     chain.cancel()
     sim.run()
     assert fired == ["a"]
     assert sim.live_pending == 0
+
+
+def test_event_chain_rejects_unsorted_or_miscounted_sources():
+    # an out-of-order entry is armed after its time has passed
+    sim = Simulator()
+    with pytest.raises(ValueError, match="into the past"):
+        sim.schedule_lazy_chain([(2e-3, print, ()), (1e-3, print, ())])
+        sim.run()
+    sim = Simulator()
+    sim.schedule_lazy_chain([(1e-3, print, ())], count=2)
+    with pytest.raises(ValueError, match="short of its declared count"):
+        sim.run()

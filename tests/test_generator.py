@@ -1,4 +1,4 @@
-"""Tests for the Poisson flow generator and traffic patterns."""
+"""Tests for the Poisson flow stream and traffic patterns."""
 
 import random
 
@@ -7,20 +7,24 @@ import pytest
 from repro.transport.base import Flow
 from repro.units import gbps
 from repro.workloads.distributions import WEB_SEARCH
-from repro.workloads.generator import poisson_flows
 from repro.workloads.patterns import all_to_all, fixed_pairs, incast, permutation
+from repro.workloads.streams import PoissonFlowStream
+
+
+def poisson_list(pattern, cdf, **kwargs):
+    return list(PoissonFlowStream(pattern, cdf, **kwargs))
 
 
 def test_flow_count_and_ids():
-    flows = poisson_flows(all_to_all(range(8)), WEB_SEARCH, load=0.5,
-                          link_rate=gbps(10), n_flows=50, n_senders=8)
+    flows = poisson_list(all_to_all(range(8)), WEB_SEARCH, load=0.5,
+                         link_rate=gbps(10), n_flows=50, n_senders=8)
     assert len(flows) == 50
     assert [f.flow_id for f in flows] == list(range(50))
 
 
 def test_start_times_nondecreasing_from_zero():
-    flows = poisson_flows(all_to_all(range(4)), WEB_SEARCH, load=0.5,
-                          link_rate=gbps(10), n_flows=30, n_senders=4)
+    flows = poisson_list(all_to_all(range(4)), WEB_SEARCH, load=0.5,
+                         link_rate=gbps(10), n_flows=30, n_senders=4)
     times = [f.start_time for f in flows]
     assert times[0] == 0.0
     assert times == sorted(times)
@@ -30,43 +34,43 @@ def test_offered_load_approximates_target():
     """Total offered bytes over the arrival horizon approximates
     load x capacity."""
     load, rate, n = 0.5, gbps(10), 3000
-    flows = poisson_flows(all_to_all(range(4)), WEB_SEARCH, load=load,
-                          link_rate=rate, n_flows=n, n_senders=4,
-                          size_cap=1_000_000, seed=42)
+    flows = poisson_list(all_to_all(range(4)), WEB_SEARCH, load=load,
+                         link_rate=rate, n_flows=n, n_senders=4,
+                         size_cap=1_000_000, seed=42)
     horizon = flows[-1].start_time
     offered = sum(f.size for f in flows) * 8 / horizon
     assert offered == pytest.approx(load * 4 * rate, rel=0.15)
 
 
 def test_seed_determinism():
-    a = poisson_flows(all_to_all(range(4)), WEB_SEARCH, load=0.5,
-                      link_rate=gbps(10), n_flows=20, n_senders=4, seed=1)
-    b = poisson_flows(all_to_all(range(4)), WEB_SEARCH, load=0.5,
-                      link_rate=gbps(10), n_flows=20, n_senders=4, seed=1)
+    a = poisson_list(all_to_all(range(4)), WEB_SEARCH, load=0.5,
+                     link_rate=gbps(10), n_flows=20, n_senders=4, seed=1)
+    b = poisson_list(all_to_all(range(4)), WEB_SEARCH, load=0.5,
+                     link_rate=gbps(10), n_flows=20, n_senders=4, seed=1)
     assert [(f.src, f.dst, f.size, f.start_time) for f in a] == \
            [(f.src, f.dst, f.size, f.start_time) for f in b]
 
 
 def test_size_cap_enforced():
-    flows = poisson_flows(all_to_all(range(4)), WEB_SEARCH, load=0.5,
-                          link_rate=gbps(10), n_flows=200, n_senders=4,
-                          size_cap=250_000)
+    flows = poisson_list(all_to_all(range(4)), WEB_SEARCH, load=0.5,
+                         link_rate=gbps(10), n_flows=200, n_senders=4,
+                         size_cap=250_000)
     assert max(f.size for f in flows) <= 250_000
 
 
 def test_invalid_args_rejected():
     with pytest.raises(ValueError):
-        poisson_flows(all_to_all(range(4)), WEB_SEARCH, load=0.0,
-                      link_rate=gbps(10), n_flows=10)
+        poisson_list(all_to_all(range(4)), WEB_SEARCH, load=0.0,
+                     link_rate=gbps(10), n_flows=10)
     with pytest.raises(ValueError):
-        poisson_flows(all_to_all(range(4)), WEB_SEARCH, load=0.5,
-                      link_rate=gbps(10), n_flows=0)
+        poisson_list(all_to_all(range(4)), WEB_SEARCH, load=0.5,
+                     link_rate=gbps(10), n_flows=0)
 
 
 def test_first_flow_id_offset():
-    flows = poisson_flows(all_to_all(range(4)), WEB_SEARCH, load=0.5,
-                          link_rate=gbps(10), n_flows=5, n_senders=4,
-                          first_flow_id=100)
+    flows = poisson_list(all_to_all(range(4)), WEB_SEARCH, load=0.5,
+                         link_rate=gbps(10), n_flows=5, n_senders=4,
+                         first_flow_id=100)
     assert [f.flow_id for f in flows] == [100, 101, 102, 103, 104]
 
 
@@ -136,10 +140,10 @@ def test_fixed_pairs_rejects_self_pair():
         fixed_pairs([(0, 1), (2, 2)])
 
 
-def test_poisson_flows_rejects_self_pair_pattern():
+def test_poisson_stream_rejects_self_pair_pattern():
     with pytest.raises(ValueError, match="src == dst"):
-        poisson_flows(lambda rng: (3, 3), WEB_SEARCH, load=0.5,
-                      link_rate=gbps(10), n_flows=5)
+        poisson_list(lambda rng: (3, 3), WEB_SEARCH, load=0.5,
+                     link_rate=gbps(10), n_flows=5)
 
 
 @pytest.mark.parametrize("make", [

@@ -302,9 +302,10 @@ def test_hybrid_audited_run_is_bit_identical():
 
 
 def test_checkpoint_version_bumped_for_hybrid():
-    # RunState grew the ``hybrid`` field; resuming a v2 snapshot into
-    # this build would silently drop the abstract set
-    assert CHECKPOINT_VERSION == 3
+    # RunState grew the ``hybrid`` field at v3 (resuming a v2 snapshot
+    # would silently drop the abstract set); v4 reshaped the wire and
+    # the flow-start chain
+    assert CHECKPOINT_VERSION == 4
 
 
 def test_hybrid_resume_mid_epoch_bit_identical(tmp_path, monkeypatch):

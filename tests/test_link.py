@@ -99,7 +99,7 @@ def test_backlog_bytes():
     assert port.backlog_bytes == 1500  # one on the wire, one queued
 
 
-# -- pipelined wire --------------------------------------------------------
+# -- wire ----------------------------------------------------------------
 
 
 def test_wire_holds_inflight_with_single_head_event():
@@ -153,21 +153,6 @@ def test_flush_wire_books_fault_losses():
     sim.run()
     assert sink.received == []            # nothing survives the flush
     assert sim.live_pending == 0          # head event cancelled
-
-
-def test_legacy_wire_mode_schedules_per_packet():
-    sim = Simulator()
-    port, sink = make_port(sim, prop=us(500))
-    port.wire.pipelined = False
-    for i in range(3):
-        port.send(pkt(seq=i))
-    ser = serialization_delay(1500, gbps(10))
-    sim.run(until=3 * ser + 1e-9)
-    assert len(port.wire) == 3
-    live, _ = sim.audit_heap()
-    assert live == 3                      # one arrival event per packet
-    sim.run()
-    assert [p.seq for p in sink.received] == [0, 1, 2]
 
 
 def test_rate_setter_refreshes_byte_time():

@@ -1,5 +1,8 @@
 """Tests for the experiment harness."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.core.hypothetical import MwRecordingDctcp
@@ -42,6 +45,30 @@ def test_run_different_seeds_differ():
         "tiny2", WEB_SEARCH, n_flows=20, size_cap=300_000, seed=99,
         fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=2)))
     assert [f.fct for f in r1.flows] != [f.fct for f in r2.flows]
+
+
+def test_run_sorts_an_unordered_flow_list():
+    """The runner schedules a list's flow starts in start-time order, so
+    a shuffled list runs exactly like the sorted one."""
+    ordered = tiny_scenario()
+
+    def shuffled_flows(topo):
+        flows = ordered.build_flows(topo)
+        random.Random(5).shuffle(flows)
+        assert [f.start_time for f in flows] != \
+            sorted(f.start_time for f in flows)
+        return flows
+
+    shuffled = dataclasses.replace(ordered, build_flows=shuffled_flows)
+    r1 = run(Dctcp(), ordered)
+    r2 = run(Dctcp(), shuffled)
+
+    def fcts(result):
+        return sorted((f.flow_id, repr(f.fct)) for f in result.flows)
+
+    assert r1.completion_rate == 1.0
+    assert fcts(r2) == fcts(r1)
+    assert r2.wall_events == r1.wall_events
 
 
 def test_run_all_runs_each_scheme():

@@ -2,8 +2,9 @@
 
 The headline gates:
 
-* ``list(PoissonFlowStream(...)) == poisson_flows(...)`` float for
-  float — the stream is the generator, restated as an iterator;
+* ``list(PoissonFlowStream(...))`` reproduces the pinned output of
+  the list generator it replaced (``fingerprints.json``) float for
+  float, over a grid of seeds, sizes, sender counts and caps;
 * a *run* over a streamed scenario is bit-identical to the same run
   over the materialized list, across schemes and fabrics, including a
   kill/resume from a checkpoint taken while the stream was only partly
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import flows_digest, pinned_fingerprints
 import repro.experiments.runner as runner_mod
 from repro.core.ppt import Ppt
 from repro.experiments.parallel import GridTask, run_grid
@@ -47,7 +49,6 @@ from repro.workloads import (
     flow_stream,
     parse_load_shape,
     parse_tenant_mix,
-    poisson_flows,
     tenant_mix_stream,
 )
 from repro.workloads.distributions import MEMCACHED_W1, WEB_SEARCH
@@ -67,25 +68,41 @@ def fct_fingerprint(result):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed,n_flows,n_senders,cap", [
-    (1, 50, 8, None),
-    (7, 200, 8, 2_000_000),
-    (42, 17, 1, 150_000),
-])
-def test_stream_equals_generator_bit_for_bit(seed, n_flows, n_senders, cap):
+# (seed, n_flows, n_senders, size_cap): every case's output is pinned in
+# fingerprints.json, captured while the list generator still existed and
+# agreed with the stream bit for bit
+GENERATOR_GRID = [(seed, n_flows, n_senders, cap)
+                  for seed in (1, 7, 42)
+                  for n_flows, n_senders in ((17, 1), (50, 8), (200, 8))
+                  for cap in (None, 150_000, 2_000_000)]
+
+
+def grid_stream(seed, n_flows, n_senders, cap, **overrides):
     kwargs = dict(load=0.5, link_rate=gbps(40), n_flows=n_flows,
                   n_senders=n_senders, seed=seed, size_cap=cap)
-    ref = poisson_flows(all_to_all(range(8)), WEB_SEARCH, **kwargs)
-    got = list(PoissonFlowStream(all_to_all(range(8)), WEB_SEARCH, **kwargs))
-    assert flow_tuples(got) == flow_tuples(ref)
+    kwargs.update(overrides)
+    return PoissonFlowStream(all_to_all(range(8)), WEB_SEARCH, **kwargs)
+
+
+def _pinned_generator_digest(seed, n_flows, n_senders, cap):
+    for entry in pinned_fingerprints()["generator"]:
+        if (entry["seed"], entry["n_flows"], entry["n_senders"],
+                entry["size_cap"]) == (seed, n_flows, n_senders, cap):
+            return entry["sha256"]
+    raise KeyError((seed, n_flows, n_senders, cap))
+
+
+@pytest.mark.parametrize("seed,n_flows,n_senders,cap", GENERATOR_GRID)
+def test_stream_equals_generator_bit_for_bit(seed, n_flows, n_senders, cap):
+    got = list(grid_stream(seed, n_flows, n_senders, cap))
+    assert flows_digest(got) == _pinned_generator_digest(
+        seed, n_flows, n_senders, cap)
 
 
 def test_constant_shape_preserves_bit_identity():
-    kwargs = dict(load=0.4, link_rate=gbps(10), n_flows=80, n_senders=4,
-                  seed=3, size_cap=500_000)
-    ref = poisson_flows(all_to_all(range(4)), WEB_SEARCH, **kwargs)
-    got = list(PoissonFlowStream(all_to_all(range(4)), WEB_SEARCH,
-                                 shape=ConstantShape(), **kwargs))
+    case = (3, 80, 4, 500_000)
+    ref = list(grid_stream(*case))
+    got = list(grid_stream(*case, shape=ConstantShape()))
     assert flow_tuples(got) == flow_tuples(ref)
 
 
@@ -108,8 +125,9 @@ def test_stream_rejects_self_pair_pattern():
 
 
 def test_materialized_stream_adapter():
-    flows = poisson_flows(all_to_all(range(4)), WEB_SEARCH, load=0.5,
-                          link_rate=gbps(10), n_flows=10, n_senders=4)
+    flows = list(PoissonFlowStream(all_to_all(range(4)), WEB_SEARCH,
+                                   load=0.5, link_rate=gbps(10),
+                                   n_flows=10, n_senders=4))
     stream = MaterializedStream(flows)
     assert stream.n_flows == 10
     assert flow_tuples(stream.materialize()) == flow_tuples(flows)

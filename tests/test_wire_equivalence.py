@@ -1,20 +1,27 @@
-"""Wire-model equivalence: pipelined FIFO pipe vs. legacy per-packet events.
+"""Wire-model fingerprints: every pinned run still reproduces bit for bit.
 
-The pipelined :class:`~repro.sim.link.Wire` keeps one scheduled head-
-arrival event per link; the legacy model schedules one event per
-in-flight packet.  Because every arrival's heap tie-break seq is
-*reserved* at serialization-completion time, the two models must produce
-**bit-identical** runs — same per-flow FCTs (down to the float repr),
-same event count, same telemetry event trace.  This suite pins that
-equivalence on the three shapes the tentpole calls out: an incast, a
-dumbbell whose bottleneck link flaps mid-run (flushing an in-flight
-wire), and NDP packet spraying over a multipath leaf-spine.
+The :class:`~repro.sim.link.Wire` keeps one scheduled head-arrival
+event per link and reserves each arrival's heap tie-break seq at
+serialization-completion time, so arrivals fire with the exact
+``(time, seq)`` keys a one-event-per-packet wire would use.
+``fingerprints.json`` pins three shapes, captured while that
+per-packet wire still existed and agreed with this one bit for bit:
+an incast, a dumbbell whose bottleneck link flaps mid-run (flushing an
+in-flight wire), and NDP packet spraying over a multipath leaf-spine.
+Each pin holds the per-flow FCTs (down to the float repr), the event
+count and a digest of the telemetry event trace, so any change to
+event order fails here.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quick_qcfg
+from conftest import (
+    fct_fingerprint,
+    pinned_fingerprints,
+    quick_qcfg,
+    trace_digest,
+)
 from repro.cli import SCHEME_FACTORIES
 from repro.experiments.runner import Scenario, run
 from repro.experiments.scenarios import (
@@ -25,7 +32,7 @@ from repro.experiments.scenarios import (
 from repro.faults import FaultPlan, LinkFlap
 from repro.obs import Telemetry
 from repro.sim.engine import Simulator
-from repro.sim.link import Port, Wire
+from repro.sim.link import Port
 from repro.sim.packet import Packet
 from repro.sim.queues import PriorityMux
 from repro.sim.topology import dumbbell
@@ -35,43 +42,10 @@ from repro.units import gbps, us
 from repro.workloads.distributions import WEB_SEARCH
 
 
-def _run_in_mode(pipelined, scheme_factory, scenario_factory):
-    """Run a fresh scenario with Wire's default mode forced."""
-    saved = Wire.PIPELINED_DEFAULT
-    Wire.PIPELINED_DEFAULT = pipelined
-    try:
-        telemetry = Telemetry()
-        result = run(scheme_factory(), scenario_factory(), observe=telemetry)
-    finally:
-        Wire.PIPELINED_DEFAULT = saved
-    return result, telemetry
-
-
-def _fct_fingerprint(result):
-    # repr() captures every bit of the float — equality here is
-    # bit-identity, not approximate agreement
-    return [(f.flow_id, f.completed, repr(f.fct)) for f in result.flows]
-
-
-def _trace_fingerprint(telemetry):
-    return [e.to_dict() for e in telemetry.iter_events()]
-
-
-def _assert_equivalent(scheme_factory, scenario_factory):
-    fast, fast_telem = _run_in_mode(True, scheme_factory, scenario_factory)
-    slow, slow_telem = _run_in_mode(False, scheme_factory, scenario_factory)
-    assert _fct_fingerprint(fast) == _fct_fingerprint(slow)
-    assert fast.wall_events == slow.wall_events
-    assert _trace_fingerprint(fast_telem) == _trace_fingerprint(slow_telem)
-    return fast, slow
-
-
-def test_incast_bit_identical():
-    scenario = lambda: incast_scenario(
+def _incast_scenario():
+    return incast_scenario(
         "equiv-incast", WEB_SEARCH, n_senders=8, load=0.6,
         n_flows=16, size_cap=200_000, seed=7)
-    fast, _slow = _assert_equivalent(Dctcp, scenario)
-    assert fast.completed == 16
 
 
 def _flap_scenario():
@@ -94,25 +68,54 @@ def _flap_scenario():
                     faults=plan)
 
 
-def test_dumbbell_flap_flushes_wire_bit_identical():
-    fast, slow = _assert_equivalent(Dctcp, _flap_scenario)
-    # the flap must actually have caught packets mid-propagation in both
-    # models, or this test isn't exercising the wire-flush path
-    for result in (fast, slow):
-        wire_drops = sum(p.fault_wire_drops
-                         for p in result.ctx.network.ports)
-        assert wire_drops > 0
-        assert result.completed == 1
-    assert fast.health.fault_drops == slow.health.fault_drops
-
-
-def test_ndp_spray_bit_identical():
-    scenario = lambda: all_to_all_scenario(
+def _spray_scenario():
+    return all_to_all_scenario(
         "equiv-spray", WEB_SEARCH, n_flows=12,
         fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4), seed=11,
         event_budget=2_000_000)
-    fast, _slow = _assert_equivalent(SCHEME_FACTORIES["ndp"], scenario)
-    assert fast.completed > 0
+
+
+# name -> (scheme factory, scenario factory), keyed as in fingerprints.json
+CASES = {
+    "incast": (Dctcp, _incast_scenario),
+    "flap": (Dctcp, _flap_scenario),
+    "spray": (SCHEME_FACTORIES["ndp"], _spray_scenario),
+}
+
+
+def run_case(name):
+    """Run one pinned case observed; returns (result, fingerprint)."""
+    scheme_factory, scenario_factory = CASES[name]
+    telemetry = Telemetry()
+    result = run(scheme_factory(), scenario_factory(), observe=telemetry)
+    return result, {
+        "flows": fct_fingerprint(result),
+        "wall_events": result.wall_events,
+        "trace_sha256": trace_digest(telemetry),
+    }
+
+
+def _assert_pinned(name):
+    result, fingerprint = run_case(name)
+    assert fingerprint == pinned_fingerprints()["wire"][name]
+    return result
+
+
+def test_incast_bit_identical():
+    assert _assert_pinned("incast").completed == 16
+
+
+def test_dumbbell_flap_flushes_wire_bit_identical():
+    result = _assert_pinned("flap")
+    # the flap must actually have caught packets mid-propagation, or
+    # this test isn't exercising the wire-flush path
+    wire_drops = sum(p.fault_wire_drops for p in result.ctx.network.ports)
+    assert wire_drops > 0
+    assert result.completed == 1
+
+
+def test_ndp_spray_bit_identical():
+    assert _assert_pinned("spray").completed > 0
 
 
 # -- property: wire arrivals are time-monotone -----------------------------
@@ -129,10 +132,9 @@ class _Sink:
         self.arrivals.append((self.sim.now, pkt))
 
 
-def _make_port(sim, pipelined, rate=gbps(10), prop_delay=us(5)):
+def _make_port(sim, rate=gbps(10), prop_delay=us(5)):
     mux = PriorityMux(buffer_bytes=10_000_000)
     port = Port(sim, rate, prop_delay, mux, name="prop-port")
-    port.wire.pipelined = pipelined
     sink = _Sink(sim)
     port.peer = sink
     return port, sink
@@ -145,13 +147,12 @@ def _make_port(sim, pipelined, rate=gbps(10), prop_delay=us(5)):
                   st.integers(min_value=64, max_value=9000),  # size
                   st.integers(min_value=0, max_value=7)),     # priority
         min_size=1, max_size=40),
-    pipelined=st.booleans(),
 )
-def test_wire_arrivals_time_monotone(pattern, pipelined):
+def test_wire_arrivals_time_monotone(pattern):
     """Under any send pattern, deliveries come off the wire in FIFO order
     at non-decreasing times, and nothing is lost or reordered."""
     sim = Simulator()
-    port, sink = _make_port(sim, pipelined)
+    port, sink = _make_port(sim)
     sent = []
     t = 0.0
     for i, (gap, size, priority) in enumerate(pattern):
@@ -169,28 +170,3 @@ def test_wire_arrivals_time_monotone(pattern, pipelined):
     arrived = {pkt.seq for _at, pkt in sink.arrivals}
     assert arrived == set(departed)
     assert len(port.wire) == 0 and port.wire.head_event is None
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    pattern=st.lists(
-        st.tuples(st.floats(min_value=0.0, max_value=1e-4),
-                  st.integers(min_value=64, max_value=9000),
-                  st.integers(min_value=0, max_value=7)),
-        min_size=1, max_size=40),
-)
-def test_wire_modes_deliver_identically(pattern):
-    """Pipelined and legacy wires produce the same (time, seq) delivery
-    sequence for the same send pattern."""
-    logs = []
-    for pipelined in (True, False):
-        sim = Simulator()
-        port, sink = _make_port(sim, pipelined)
-        t = 0.0
-        for i, (gap, size, priority) in enumerate(pattern):
-            t += gap
-            sim.schedule_at(t, port.send,
-                            Packet(0, 0, 1, i, size, priority=priority))
-        sim.run()
-        logs.append([(repr(at), pkt.seq) for at, pkt in sink.arrivals])
-    assert logs[0] == logs[1]
