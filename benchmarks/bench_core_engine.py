@@ -14,6 +14,10 @@ judged against (ROADMAP: "as fast as the hardware allows").  Probes:
 * ``leaf-spine`` — all-to-all over a 2x2 leaf-spine: multipath ECMP
   forwarding with two switch hops per path, the topology shape the
   validation matrix leans on;
+* ``ppt-long-link`` — PPT all-to-all on the 4x16 leaf-spine with 20 us
+  links: BDP-sized LCP windows of hundreds of packets, the one probe
+  whose time is dominated by PPT's own transport code (the LCP tail
+  pick) rather than the engine and datapath that DCTCP rows measure;
 * ``dctcp-incast-observed`` — the incast with repro.obs telemetry
   attached; comparing against ``dctcp-incast`` across commits bounds
   the observation overhead (regression budget: <3%);
@@ -47,6 +51,7 @@ import time
 from pathlib import Path
 
 from conftest import run_figure
+from repro.core.ppt import Ppt
 from repro.experiments.distributed import run_sharded
 from repro.experiments.runner import Scenario, run
 from repro.experiments.scenarios import (
@@ -72,6 +77,7 @@ HYBRID_SPEEDUP_FLOOR = 10.0
 SHARD_N = 4
 SHARD_FLOWS = 1500
 SHARD_SPEEDUP_FLOOR = 2.5
+LONG_LINK_FLOWS = 60
 
 OUT_PATH = Path(os.environ.get(
     "BENCH_CORE_ENGINE_OUT",
@@ -130,6 +136,24 @@ def _leaf_spine_row():
             "seconds": elapsed,
             "events_per_sec": result.wall_events / elapsed,
             "peak_pending": result.health.peak_pending}
+
+
+def _ppt_long_link_row():
+    scenario = all_to_all_scenario(
+        "bench-core-ppt-long-link", WEB_SEARCH, load=0.4,
+        n_flows=LONG_LINK_FLOWS,
+        fabric=sim_fabric(n_leaf=4, n_spine=4, hosts_per_leaf=16,
+                          prop_delay=us(20)),
+        seed=1)
+    t0 = time.perf_counter()
+    result = run(Ppt(), scenario)
+    elapsed = time.perf_counter() - t0
+    assert result.completed == len(result.flows), "ppt-long-link must complete"
+    return {"bench": "ppt-long-link", "events": result.wall_events,
+            "seconds": elapsed,
+            "events_per_sec": result.wall_events / elapsed,
+            "peak_pending": result.health.peak_pending,
+            "cores": _usable_cores()}
 
 
 def _observed_incast_row():
@@ -236,7 +260,8 @@ def _sharded_row():
 
 def _run_bench():
     rows = [_raw_heap_row(), _incast_row(), _leaf_spine_row(),
-            _observed_incast_row(), _hybrid_row(), _sharded_row()]
+            _ppt_long_link_row(), _observed_incast_row(), _hybrid_row(),
+            _sharded_row()]
     payload = {"bench": "core_engine", "rows": rows}
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -27,6 +27,7 @@ from ..sim.packet import ACK, Packet
 from ..transport.base import Flow, Scheme, TransportContext
 from ..transport.dctcp import Dctcp, DctcpSender
 from ..transport.window import WindowReceiver
+from .lcp import pick_tail_seq
 
 
 class _RecordingSender(DctcpSender):
@@ -65,6 +66,10 @@ class MwRecordingDctcp(Scheme):
 class _HypotheticalSender(DctcpSender):
     """DCTCP + per-RTT oracle gap filler."""
 
+    # pick_tail_seq's resume cursor (see LcpController)
+    _tail_hint: Optional[int] = None
+    _tail_top = 0
+
     def __init__(self, flow: Flow, ctx: TransportContext,
                  mw: float, fill_factor: float) -> None:
         super().__init__(flow, ctx)
@@ -93,8 +98,11 @@ class _HypotheticalSender(DctcpSender):
             return
         # purge presumed-lost opportunistic packets
         horizon = self.sim.now - 2.0 * max(self.srtt, self.base_rtt)
-        for seq in [s for s, t in self.lp_outstanding.items() if t < horizon]:
-            del self.lp_outstanding[seq]
+        stale = [s for s, t in self.lp_outstanding.items() if t < horizon]
+        if stale:
+            for seq in stale:
+                del self.lp_outstanding[seq]
+            self._tail_hint = None
         gap = int(self.target_window - self.cwnd - len(self.lp_outstanding))
         rtt = max(self.base_rtt, 1e-9)
         if gap > 0:
@@ -107,7 +115,7 @@ class _HypotheticalSender(DctcpSender):
     def _fill_one(self) -> None:
         if self.finished:
             return
-        seq = self._pick_tail_seq()
+        seq = pick_tail_seq(self, self, self.lp_outstanding)
         if seq is None:
             return
         pkt = self.build_packet(seq)
@@ -118,17 +126,6 @@ class _HypotheticalSender(DctcpSender):
         self.lp_sent += 1
         self.pkts_transmitted += 1
         self.host.send(pkt)
-
-    def _pick_tail_seq(self) -> Optional[int]:
-        seq = self.buffer_end() - 1
-        while seq >= 0:
-            if seq <= self.send_ptr:
-                return None
-            if (seq not in self.delivered and seq not in self.outstanding
-                    and seq not in self.lp_outstanding):
-                return seq
-            seq -= 1
-        return None
 
     # Like PPT's HCP (see repro.core.ppt), the primary loop does not skip
     # packets the filler has in flight: completion must never be gated on

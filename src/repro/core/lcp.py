@@ -41,8 +41,46 @@ from ..sim.packet import Packet
 _EPS = 1e-9
 
 
+def pick_tail_seq(holder, sender, lp_outstanding) -> Optional[int]:
+    """Highest packet index in ``sender``'s send buffer above its HCP
+    pointer that is neither delivered nor in flight on either loop;
+    None when the loops have crossed.
+
+    ``holder`` keeps the resume cursor ``_tail_hint``/``_tail_top``,
+    with the invariant that every seq in ``(_tail_hint, _tail_top)`` is
+    delivered or in ``lp_outstanding``.  Neither set can lose a member
+    behind the cursor's back except through the holder's own purges,
+    which reset the hint to None; HCP-outstanding seqs never exceed the
+    HCP pointer, where the scan stops anyway.  So the answer equals a
+    full scan from ``buffer_end() - 1`` down, at amortised O(1) cost.
+    A moved ``buffer_end()`` (the buffer refilled) restarts from the
+    new top.
+    """
+    end = sender.buffer_end()
+    seq = holder._tail_hint
+    if seq is None or holder._tail_top != end:
+        holder._tail_top = end
+        seq = end - 1
+    floor = sender.send_ptr  # at or below it: crossed with the HCP loop
+    delivered = sender.delivered
+    hcp_outstanding = sender.outstanding
+    while seq > floor:
+        if (seq not in delivered and seq not in hcp_outstanding
+                and seq not in lp_outstanding):
+            holder._tail_hint = seq
+            return seq
+        seq -= 1
+    holder._tail_hint = seq
+    return None
+
+
 class LcpController:
     """Low-priority control loop attached to one PPT sender."""
+
+    # resume cursor of pick_tail_seq; class-level so that snapshots
+    # taken before the cursor existed still resume (with a full scan)
+    _tail_hint: Optional[int] = None
+    _tail_top = 0
 
     def __init__(
         self,
@@ -108,9 +146,7 @@ class LcpController:
             self.open_loop(gap)
 
     def shutdown(self) -> None:
-        self._cancel_timers()
-        self.active = False
-        self.outstanding.clear()
+        self.close_loop()
 
     def _cancel_timers(self) -> None:
         for event in self._pace_events:
@@ -159,6 +195,7 @@ class LcpController:
         self._cancel_timers()
         self.active = False
         self.outstanding.clear()
+        self._tail_hint = None
 
     def _termination_check(self) -> None:
         self._term_event = None
@@ -168,8 +205,11 @@ class LcpController:
         # purge presumed-lost opportunistic packets so the HCP loop can
         # cover those holes (LCP never retransmits)
         horizon = self.sim.now - 2.0 * rtt
-        for seq in [s for s, t in self.outstanding.items() if t < horizon]:
-            del self.outstanding[seq]
+        stale = [s for s, t in self.outstanding.items() if t < horizon]
+        if stale:
+            for seq in stale:
+                del self.outstanding[seq]
+            self._tail_hint = None
         if self.sim.now - self.last_lp_ack > 2.0 * rtt:
             self.close_loop()
             return
@@ -186,29 +226,10 @@ class LcpController:
         if self.active and not self.sender.finished:
             self._send_one()
 
-    def _pick_tail_seq(self) -> Optional[int]:
-        """Highest buffered packet index not yet delivered or in flight.
-
-        Returns None when the loops have crossed (nothing left above the
-        HCP loop's pointer), which also closes the loop.
-        """
-        sender = self.sender
-        seq = sender.buffer_end() - 1
-        delivered = sender.delivered
-        hcp_outstanding = sender.outstanding
-        while seq >= 0:
-            if seq <= sender.send_ptr:
-                return None  # crossed with the HCP loop
-            if (seq not in delivered and seq not in hcp_outstanding
-                    and seq not in self.outstanding):
-                return seq
-            seq -= 1
-        return None
-
     def _send_one(self) -> bool:
         sender = self.sender
-        seq = self._pick_tail_seq()
-        if seq is None:
+        seq = pick_tail_seq(self, sender, self.outstanding)
+        if seq is None:  # the loops crossed: nothing left to fill
             self.close_loop()
             return False
         pkt = sender.build_packet(seq)

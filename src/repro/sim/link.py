@@ -64,7 +64,8 @@ class Wire:
     ``pending`` holds every in-flight packet as ``(arrival_time, seq,
     pkt)`` in FIFO order.  Only the head has a scheduled event (it lives
     in ``head_event``); delivering the head arms the next entry with its
-    *reserved* seq.
+    *reserved* seq.  Packets enter in :meth:`Port._tx_done`, the one
+    place that puts a serialized packet on a wire.
 
     The deque is the authoritative record of what is on the wire: the
     invariant auditor reads it for the fabric in-propagation residual,
@@ -105,22 +106,6 @@ class Wire:
         self.head_event = state["head_event"]
         self._deliver_cb = self._deliver
         self._recv_cb = None  # rebound lazily on first delivery
-
-    def push(self, pkt: Packet) -> None:
-        """Put a freshly serialized packet onto the wire.
-
-        Called at serialization-completion time; the seq reserved here is
-        exactly the one a per-packet ``schedule`` would have consumed, so
-        heap tie-breaking is as if every arrival had its own event.
-        """
-        sim = self.sim
-        arrival = sim.now + self.port.prop_delay
-        sim._seq += 1  # reserve_seq(), sans the call frame — hot path
-        seq = sim._seq
-        self.pending.append((arrival, seq, pkt))
-        if self.head_event is None:
-            self.head_event = sim.schedule_reserved(
-                arrival, seq, self._deliver)
 
     def _deliver(self) -> None:
         """Head arrival: hand the packet to the peer, re-arm for the next.
@@ -447,9 +432,11 @@ class Port:
             self._start_next()  # lost on the wire (link down, ...)
             return
         if self.peer is not None:
-            # Wire.push, inlined (once per transmitted packet): reserve
-            # the arrival's tie-break seq now, append to the in-flight
-            # deque, arm the head event only when the wire was idle.
+            # Onto the wire (once per transmitted packet): reserve the
+            # arrival's tie-break seq now — exactly the seq a per-packet
+            # schedule() would consume, so heap tie-breaking is as if
+            # every arrival had its own event — append to the in-flight
+            # deque, and arm the head event only when the wire was idle.
             wire = self.wire
             sim = self.sim
             arrival = sim.now + self.prop_delay

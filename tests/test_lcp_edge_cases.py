@@ -2,6 +2,7 @@
 limits, and interaction with the HCP pointer."""
 
 from conftest import make_ctx, make_star
+from repro.core.lcp import pick_tail_seq
 from repro.core.ppt import Ppt, PptSender
 from repro.sim.packet import ACK, Packet
 from repro.transport.base import Flow
@@ -84,7 +85,7 @@ def test_lcp_respects_send_buffer_window():
                                     identification_threshold=10**9)
     lcp = sender.lcp
     lcp.open_loop(50)
-    seq = lcp._pick_tail_seq()
+    seq = pick_tail_seq(lcp, sender, lcp.outstanding)
     assert seq is not None
     assert seq < sender.buffer_end()
     assert sender.buffer_end() == 20
