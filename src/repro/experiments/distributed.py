@@ -149,9 +149,14 @@ def run_sharded(
 ) -> DistributedResult:
     """Run ``scenario`` space-partitioned across ``n_shards`` processes.
 
-    Deterministic-merge contract: per-flow FCTs are bit-identical to the
-    serial runner's on the same scenario, for any shard count the
-    topology admits (see ``docs/sharding.md``).  ``observe``/``validate``
+    The merge is deterministic: the same scenario and shard count give
+    the same FCTs every time.  ``n_shards == 1`` is bit-identical to the
+    serial runner on any scenario.  More shards match serial only where
+    no imported packet ties a local event at the same timestamp; the
+    perfbench ``sharded`` workload has 16 of 200 FCTs off serial, and
+    ``shard_gate_scenario()`` matches for DCTCP, PPT, NDP and Homa but
+    not HPCC (2 of 60 flows) or PPT-HPCC (3 of 60); see
+    ``docs/sharding.md``.  ``observe``/``validate``
     mirror the runner's flags; each worker carries its own telemetry /
     auditor and only the picklable digests cross the result pipes.
     """

@@ -123,6 +123,35 @@ class Packet:
         self.hops: int = 0
         self.queue_delay: float = 0.0
 
+    # The flat form of a packet: every slot, in ``__slots__`` order.  A
+    # packet crosses a shard boundary (:mod:`repro.sim.shard`) as this
+    # tuple, because pickling a tuple of ints, floats and bools costs a
+    # fraction of pickling the object.  Both field lists below must
+    # match ``__slots__`` exactly; ``tests/test_packet.py`` pins
+    # them, so a new slot fails loudly instead of vanishing in transit.
+
+    def to_fields(self) -> tuple:
+        """Every slot's value, in ``__slots__`` order."""
+        return (self.flow_id, self.src, self.dst, self.seq, self.size,
+                self.kind, self.priority, self.ecn_capable, self.ecn_ce,
+                self.lcp, self.unscheduled, self.retransmit,
+                self.corrupted, self.ack_seq, self.sack, self.meta,
+                self.int_records, self.sent_at, self.hops,
+                self.queue_delay)
+
+    @staticmethod
+    def from_fields(fields: tuple) -> "Packet":
+        """Rebuild a packet from :meth:`to_fields` output, every slot
+        restored."""
+        pkt = object.__new__(Packet)  # every slot is assigned below
+        (pkt.flow_id, pkt.src, pkt.dst, pkt.seq, pkt.size,
+         pkt.kind, pkt.priority, pkt.ecn_capable, pkt.ecn_ce,
+         pkt.lcp, pkt.unscheduled, pkt.retransmit,
+         pkt.corrupted, pkt.ack_seq, pkt.sack, pkt.meta,
+         pkt.int_records, pkt.sent_at, pkt.hops,
+         pkt.queue_delay) = fields
+        return pkt
+
     def trim(self) -> None:
         """NDP packet trimming: cut the payload, keep the header."""
         self.kind = HEADER

@@ -29,14 +29,22 @@ scheme built on it:
   index)`` — heap tie-breaking stays deterministic, so repeated runs
   merge identically.
 
-Determinism contract: per-flow FCTs of a sharded run are bit-identical
-to the serial run of the same scenario.  Arrival instants are computed
-from the same floats (``sim.now + prop_delay`` at serialization end,
-``now + base_delay`` for control), and windowing cannot reorder events
-with distinct times; the only divergence channel is a same-float-time
-tie between an imported event and an unrelated local one, which Poisson
-workloads hit with probability zero.  ``docs/sharding.md`` spells out
-the partitioning rules and the lookahead math.
+An outbox entry carries the packet as the flat tuple of its slots
+(:meth:`~repro.sim.packet.Packet.to_fields`), and the importer rebuilds
+it with every slot restored, so the pipes pickle only tuples of plain
+values, never ``Packet`` objects.
+
+Determinism: arrival instants are computed from the same floats as the
+serial run (``sim.now + prop_delay`` at serialization end, ``now +
+base_delay`` for control), and windowing cannot reorder events with
+distinct times.  What it cannot reproduce is a same-timestamp tie
+between an imported event and a local one: serial breaks it by global
+seq order, which no shard can see.  Such ties do happen.  On the
+perfbench ``sharded`` workload 16 of 200 FCTs differ from serial; on
+``shard_gate_scenario()`` DCTCP, PPT, NDP and Homa match serial, but
+HPCC differs on 2 of 60 flows and PPT-HPCC on 3.  A sharded run is
+always deterministic against itself.  ``docs/sharding.md`` spells out
+the partitioning rules, the lookahead math and these measurements.
 
 Termination is symmetric: every stop decision ("done", "budget",
 "dead", "horizon") is a function of the exchanged data only, so all
@@ -47,12 +55,14 @@ on a pipe that will never be written.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..transport.base import TransportContext
 from .host import Host
 from .link import Port
 from .network import Network
+from .packet import Packet
 from .topology import Topology
 
 
@@ -183,9 +193,9 @@ class _BoundaryEgress:
         pair = ledger.exported_to[self.dst_shard]
         pair[0] += 1
         pair[1] += pkt.size
-        # (arrival, kind=0 data, ingress port index, packet)
+        # (arrival, kind=0 data, ingress port index, packet fields)
         self.outbox.append((sim.now + port.prop_delay, 0,
-                            self.port_index, pkt))
+                            self.port_index, pkt.to_fields()))
         if port.mux.nonempty_mask:
             port._start_next()
         else:
@@ -240,8 +250,9 @@ class _ControlRouter:
         pair[0] += 1
         pair[1] += pkt.size
         arrival = net.sim.now + net.base_delay(pkt.src, pkt.dst)
-        # (arrival, kind=1 control, destination host, packet)
-        self.outboxes[dst_shard].append((arrival, 1, pkt.dst, pkt))
+        # (arrival, kind=1 control, destination host, packet fields)
+        self.outboxes[dst_shard].append((arrival, 1, pkt.dst,
+                                         pkt.to_fields()))
 
 
 @dataclass
@@ -346,6 +357,15 @@ class ShardSummary:
     (completion is receiver-side, so each flow appears in exactly one
     shard's summary); retransmit counters likewise cover local-host
     endpoints only, so the per-shard sums partition the serial totals.
+
+    The phase timers (``perf_counter`` seconds, read once per round)
+    split ``wall_s``, the worker's time from :meth:`ShardWorker.run`
+    entry to the end of its harvest: ``build_s`` builds the topology,
+    endpoints and boundary stubs; ``compute_s`` runs each window, sweeps
+    the heap and audits the slice; ``exchange_s`` computes the null
+    message, pickles and sends the outboxes, waits for the peers and
+    unpickles theirs; ``inject_s`` rebuilds the imported packets and
+    schedules them.  The rest of ``wall_s`` is the harvest.
     """
 
     shard_id: int
@@ -363,6 +383,11 @@ class ShardSummary:
     rtos_total: int
     retransmits_by_flow: Dict[int, int]
     ledger: dict
+    wall_s: float
+    build_s: float
+    compute_s: float
+    exchange_s: float
+    inject_s: float
     telemetry: Optional[object] = None   # TelemetrySummary when observed
     validation: Optional[object] = None  # ValidationReport when validated
 
@@ -391,16 +416,21 @@ class ShardWorker:
         self.validate = validate
         self.rounds = 0
         self.outcome = "horizon"
+        self.compute_s = 0.0
+        self.exchange_s = 0.0
+        self.inject_s = 0.0
 
     # -- lifecycle --------------------------------------------------------
 
     def run(self) -> ShardSummary:
+        started = perf_counter()
         self._setup()
+        self.build_s = perf_counter() - started
         if self.conns:
             self._run_windows()
         else:
             self._run_solo()
-        return self._harvest()
+        return self._harvest(started)
 
     def _setup(self) -> None:
         from ..obs.telemetry import Telemetry
@@ -521,11 +551,13 @@ class ShardWorker:
                     self.outcome = "budget"
                     break
                 max_events = remaining
+            started = perf_counter()
             sim.run(until=T, max_events=max_events)
             self.rounds += 1
             sim.sweep()
             if auditor is not None:
                 auditor.on_slice()
+            self.compute_s += perf_counter() - started
             if budget is not None and sim.events_run >= budget:
                 self.outcome = "budget"
                 break
@@ -563,11 +595,13 @@ class ShardWorker:
         inf = float("inf")
         T = 0.0
         while True:
+            started = perf_counter()
             sim.run(until=T)
             self.rounds += 1
             sim.sweep()
             if auditor is not None:
                 auditor.on_slice()
+            computed = perf_counter()
 
             # own null-message signals — raw floats, so every shard
             # folds the identical numbers into ``base``
@@ -609,7 +643,11 @@ class ShardWorker:
                 all_done = all_done and peer_done
                 total_events += peer_events
 
+            exchanged = perf_counter()
             self._inject(imports_round)
+            self.compute_s += computed - started
+            self.exchange_s += exchanged - computed
+            self.inject_s += perf_counter() - exchanged
 
             # symmetric termination — exchanged data only
             if all_done:
@@ -659,8 +697,10 @@ class ShardWorker:
         ledger = self.ledger
         now = sim.now
         first = sim.reserve_seq_block(len(entries))
+        from_fields = Packet.from_fields
         for offset, (arrival, k, _idx, entry) in enumerate(entries):
-            _a, kind, ref, pkt = entry
+            _a, kind, ref, fields = entry
+            pkt = from_fields(fields)
             pair = ledger.imported_from[k]
             pair[0] += 1
             pair[1] += pkt.size
@@ -686,7 +726,7 @@ class ShardWorker:
 
     # -- harvest ----------------------------------------------------------
 
-    def _harvest(self) -> ShardSummary:
+    def _harvest(self, started: float) -> ShardSummary:
         plan, me = self.plan, self.shard_id
         net = self.topo.network
         sim = self.topo.sim
@@ -736,6 +776,11 @@ class ShardWorker:
             rtos_total=rtos,
             retransmits_by_flow=rtx_by_flow,
             ledger=self.ledger.digest(),
+            wall_s=perf_counter() - started,
+            build_s=self.build_s,
+            compute_s=self.compute_s,
+            exchange_s=self.exchange_s,
+            inject_s=self.inject_s,
             telemetry=telemetry_summary,
             validation=validation,
         )

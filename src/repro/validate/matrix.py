@@ -96,9 +96,9 @@ def _leaf_spine_hybrid_off_scenario(*, n_flows: int) -> object:
 
 def _shard_gate_scenario(*, n_flows: int) -> object:
     # n_flows deliberately ignored: the gate's parameters are pinned to
-    # the collision-audited configuration (see shard_gate_scenario) —
-    # running it at another flow count would void the bit-identity
-    # guarantee the sharded cross-cell checks
+    # the configuration its schemes were checked on (see
+    # shard_gate_scenario) — at another flow count the sharded
+    # cross-cell check would compare against an unchecked serial run
     del n_flows
     return shard_gate_scenario("validate-shard-gate")
 
@@ -225,11 +225,12 @@ def run_matrix(schemes: Optional[List[str]] = None, *,
         })
 
     # cross-cell law: a space-sharded run must merge to the serial
-    # oracle's FCT statistics bit-for-bit on the collision-audited gate
-    # scenario, with global handoff conservation closed and zero shard
-    # invariant violations.  Events-run is deliberately NOT compared —
-    # the windowed drain legitimately executes a different number of
-    # engine events than the serial slice loop.
+    # oracle's FCT statistics bit-for-bit on the gate scenario (checked
+    # tie-free for these schemes), with global handoff conservation
+    # closed and zero shard invariant violations.  Events-run is
+    # deliberately NOT compared — the windowed drain legitimately
+    # executes a different number of engine events than the serial
+    # slice loop.
     n_shards = 2 if _fork_available() else 1
     for scheme in SHARD_CROSS_SCHEMES:
         serial = bare_by_label.get(f"{scheme}@shard-gate")

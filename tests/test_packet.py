@@ -1,5 +1,7 @@
 """Unit tests for the packet model."""
 
+import pickle
+
 from repro.sim.packet import (
     ACK,
     ACK_BYTES,
@@ -73,3 +75,59 @@ def test_repr_smoke():
     pkt.lcp = True
     text = repr(pkt)
     assert "DATA" in text and "CE" in text and "lcp" in text
+
+
+def test_field_lists_match_slots_in_order():
+    # a distinct value per slot, so a misordered field list shows
+    pkt = Packet(0, 0, 0, 0, 0)
+    for name in Packet.__slots__:
+        setattr(pkt, name, name)
+    assert pkt.to_fields() == Packet.__slots__
+    clone = Packet.from_fields(Packet.__slots__)
+    for name in Packet.__slots__:
+        assert getattr(clone, name) == name
+
+
+class _Meta:
+    """A transport payload that is an object, not a plain value."""
+
+    def __init__(self, granted):
+        self.granted = granted
+
+    def __eq__(self, other):
+        return type(other) is _Meta and other.granted == self.granted
+
+
+def _every_slot_set():
+    """A trimmed header with a non-default value in every slot."""
+    pkt = Packet(11, src=3, dst=9, seq=42, size=1500, priority=6,
+                 ecn_capable=False)
+    pkt.trim()
+    pkt.priority = 2  # trim() resets it to the default P0
+    pkt.ecn_ce = True
+    pkt.lcp = True
+    pkt.unscheduled = True
+    pkt.retransmit = True
+    pkt.corrupted = True
+    pkt.ack_seq = 17
+    pkt.sack = (20, 23, 30, 31)
+    pkt.meta = _Meta(5)
+    pkt.int_records = [(3000, 9000, 1.25e-4, 40e9), (0, 1500, 1.3e-4, 10e9)]
+    pkt.sent_at = 1.0e-4 + 1e-12
+    pkt.hops = 3
+    pkt.queue_delay = 2.5e-6
+    return pkt
+
+
+def test_every_slot_crosses_the_fields_boundary():
+    pkt = _every_slot_set()
+    default = Packet(0, 0, 0, 0, 0)
+    for name in Packet.__slots__:
+        assert getattr(pkt, name) != getattr(default, name), name
+    # the trip a shard handoff takes: flatten, pickle, rebuild
+    clone = Packet.from_fields(pickle.loads(pickle.dumps(pkt.to_fields())))
+    assert clone is not pkt
+    assert clone.kind == HEADER and clone.size == HEADER_BYTES
+    for name in Packet.__slots__:
+        assert getattr(clone, name) == getattr(pkt, name), name
+        assert type(getattr(clone, name)) is type(getattr(pkt, name)), name
